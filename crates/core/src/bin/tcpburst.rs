@@ -18,7 +18,8 @@ use tcpburst_core::experiments::{
 };
 use tcpburst_des::SimDuration;
 use tcpburst_core::{
-    remote_worker_main, run_point, submit_job, worker_main, ExecTuning, FailurePolicy, Gateway,
+    remote_worker_main, run_point, submit_job, worker_main, ConfigError, ExecTuning,
+    FailurePolicy, Gateway,
     JobConn, Protocol, RemoteExec, ReplicatedSweep, ResultStore, RunBudget, RunError,
     ScenarioBuilder, SupervisedSweep, SweepSupervisor, TopoKind, WorkerCommand, WorkerOptions,
     DEFAULT_TOKEN,
@@ -66,8 +67,8 @@ RESULT CACHE (sweep and replicate; `run` always simulates):
                            their full configuration, seed and engine schema;
                            a repeated sweep loads them instead of simulating
                            (bit-identical by construction). Trace-capturing
-                           and sharded-engine configurations bypass the
-                           cache; an engine schema bump invalidates it.
+                           configurations bypass the cache; an engine
+                           schema bump invalidates it.
 
 ROBUSTNESS (supervision and watchdog budgets):
     --keep-going           run every grid point; report failures at the end
@@ -337,7 +338,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             _ => {
                 let Some(spec) = ScenarioBuilder::flag_spec(&flag) else {
-                    return Err(format!("unknown flag: {flag}"));
+                    return Err(ConfigError::UnknownFlag(flag).into());
                 };
                 let value = match spec.metavar {
                     Some(_) => Some(

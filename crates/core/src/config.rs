@@ -529,20 +529,10 @@ pub struct ScenarioConfig {
     /// every queue and wire, non-negative occupancy, monotone clock,
     /// cwnd ≥ 1 MSS. Violations land in
     /// [`ScenarioReport::audit`](crate::ScenarioReport) as structured
-    /// counters. Off by default — the audited run loop tracks clock
-    /// monotonicity, which the zero-overhead hot path skips.
+    /// counters. Off by default. Auditing never changes the simulation:
+    /// the run loop checks clock monotonicity once per same-timestamp
+    /// batch either way.
     pub audit: bool,
-    /// Worker threads for the conservative parallel engine; `0` (the
-    /// default) runs the serial single-scheduler engine.
-    ///
-    /// Any value ≥ 1 selects the sharded engine, whose results are
-    /// **identical at every shard count** (the domain decomposition is
-    /// fixed by the configuration; threads only partition it) but differ
-    /// from the serial engine in same-instant tie-breaks — golden traces
-    /// pin `shards: 0`. Configurations the sharded engine cannot honor
-    /// (`audit`, `trace_events`, wire corruption, a zero base client
-    /// delay) fall back to the serial engine.
-    pub shards: usize,
 }
 
 impl ScenarioConfig {
@@ -582,7 +572,6 @@ impl ScenarioConfig {
             trace_events: false,
             trace_hops: false,
             audit: false,
-            shards: 0,
         }
     }
 

@@ -74,7 +74,6 @@ mod profile;
 mod replicate;
 mod report;
 mod scenario;
-mod shard;
 pub mod store;
 pub mod supervise;
 mod trace;
@@ -111,7 +110,7 @@ pub use store::{
 };
 pub use supervise::{
     run_point, AuditReport, ExceededBudget, FailurePolicy, InvariantViolation, JournalEntry,
-    JournalFormat, PointFailure, PointOutcome, RunBudget, RunError, RunJournal, SupervisedSweep,
+    PointFailure, PointOutcome, RunBudget, RunError, RunJournal, SupervisedSweep,
     Supervisor, SweepPoint, SweepSupervisor,
 };
 pub use trace::{EventLog, TraceEvent, TraceKind};

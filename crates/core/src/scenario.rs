@@ -48,15 +48,15 @@ enum Servers {
 
 /// A periodic two-state toggle between a nominal and a perturbed value.
 #[derive(Debug)]
-pub(crate) struct Toggle<T> {
-    pub(crate) cycle: PhaseCycle,
-    pub(crate) nominal: T,
-    pub(crate) perturbed: T,
+struct Toggle<T> {
+    cycle: PhaseCycle,
+    nominal: T,
+    perturbed: T,
 }
 
 impl<T: Copy> Toggle<T> {
     /// Advances the cycle and returns the value now in effect.
-    pub(crate) fn advance(&mut self) -> T {
+    fn advance(&mut self) -> T {
         if self.cycle.advance() == 0 {
             self.nominal
         } else {
@@ -67,23 +67,21 @@ impl<T: Copy> Toggle<T> {
 
 /// Background cross-traffic generator state.
 #[derive(Debug)]
-pub(crate) struct CrossRuntime {
-    pub(crate) source: PoissonSource,
-    pub(crate) packet_bytes: u32,
+struct CrossRuntime {
+    source: PoissonSource,
+    packet_bytes: u32,
 }
 
 /// Live state of the impairment schedule. Boxed and absent on healthy runs
-/// so the unimpaired hot loop pays nothing for the machinery. Shared with
-/// the sharded engine (`crate::shard`), whose central domain owns the
-/// bottleneck link and therefore the whole schedule.
+/// so the unimpaired hot loop pays nothing for the machinery.
 #[derive(Debug)]
-pub(crate) struct ImpairRuntime {
+struct ImpairRuntime {
     /// Flap phases `[up, down]`; index 0 means the link is currently lit.
-    pub(crate) flap: Option<PhaseCycle>,
-    pub(crate) capacity: Option<Toggle<u64>>,
-    pub(crate) delay: Option<Toggle<SimDuration>>,
-    pub(crate) cross: Option<CrossRuntime>,
-    pub(crate) counters: ImpairmentReport,
+    flap: Option<PhaseCycle>,
+    capacity: Option<Toggle<u64>>,
+    delay: Option<Toggle<SimDuration>>,
+    cross: Option<CrossRuntime>,
+    counters: ImpairmentReport,
 }
 
 impl ImpairRuntime {
@@ -93,7 +91,7 @@ impl ImpairRuntime {
     /// # Panics
     ///
     /// Panics if the impairment schedule is inconsistent.
-    pub(crate) fn build(cfg: &ScenarioConfig) -> Option<Box<ImpairRuntime>> {
+    fn build(cfg: &ScenarioConfig) -> Option<Box<ImpairRuntime>> {
         (!cfg.impair.is_none()).then(|| {
             cfg.impair
                 .validate()
@@ -149,8 +147,8 @@ pub struct Scenario {
     probe: BinnedCounter,
     /// Scratch buffer for packets produced by endpoint handlers.
     outbox: Vec<Packet>,
-    /// Scratch buffer for same-timestamp event batches (the unbudgeted hot
-    /// loop drains one timestamp's run per scheduler call).
+    /// Scratch buffer for same-timestamp event batches (the run loop
+    /// drains one timestamp's run per scheduler call).
     batch_buf: Vec<Event>,
     generated: u64,
     event_log: Option<EventLog>,
@@ -335,16 +333,11 @@ impl Scenario {
         scenario
     }
 
-    /// Builds and runs the scenario to its configured duration.
-    ///
-    /// With [`shards`](ScenarioConfig::shards) set and the configuration
-    /// supported by the conservative parallel engine, the run is delegated
-    /// to [`crate::shard`]; everything else uses the serial single-scheduler
-    /// engine below.
+    /// Builds and runs the scenario to its configured duration on the
+    /// serial single-scheduler engine. Intra-run parallelism comes back
+    /// only with a many-core measurement that beats running independent
+    /// points side by side (`--jobs`).
     pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
-        if cfg.shards > 0 && crate::shard::supported(cfg) {
-            return crate::shard::run_sharded(cfg);
-        }
         let mut s = Scenario::new(cfg);
         s.run_to_completion();
         s.into_report()
@@ -378,53 +371,52 @@ impl Scenario {
     /// [`Scenario::into_report`], with
     /// [`budget_exceeded`](ScenarioReport::budget_exceeded) set.
     ///
-    /// With no limits set and auditing off, this is the exact unmodified
-    /// hot loop — sweeps that opt into nothing pay for nothing.
+    /// Budgets and auditing share the one batch loop with the plain run:
+    /// they are checked once per same-timestamp batch, never per event,
+    /// and leave the dispatch order — and with it every reported counter —
+    /// unchanged. The sim-time cap is the horizon handed to the scheduler;
+    /// the event cap bounds each batch so the run stops on the exact count.
     pub fn run_with_budget(&mut self, budget: &RunBudget) -> Option<ExceededBudget> {
         let started = std::time::Instant::now();
         let horizon = SimTime::ZERO + self.cfg.duration;
-
-        if budget.is_unlimited() && !self.cfg.audit {
-            // Batch dispatch: pull each timestamp's full run of events in
-            // one scheduler call and dispatch it as a slice — one queue
-            // search amortized over the whole run instead of per event.
-            // Events scheduled *during* the batch at the same instant land
-            // after it in `(time, seq)` order, so the next `drain_due` call
-            // picks them up and the dispatch order is event-for-event
-            // identical to the single-pop loop.
-            let mut batch = std::mem::take(&mut self.batch_buf);
-            while self.sched.drain_due(horizon, &mut batch).is_some() {
-                for event in batch.drain(..) {
-                    self.dispatch(event);
-                }
-            }
-            self.batch_buf = batch; // keep the allocation
-            self.wall_clock += started.elapsed();
-            return None;
-        }
-
         let sim_horizon = match budget.max_sim_time {
             Some(cap) => horizon.min(SimTime::ZERO + cap),
             None => horizon,
         };
+        let max_events = budget.max_events.unwrap_or(u64::MAX);
         let mut tripped = None;
         let mut last_t = self.sched.now();
-        let mut since_wall_check = 0u32;
-        while let Some((t, event)) = self.sched.pop_until(sim_horizon) {
+        let mut since_wall_check = 0usize;
+        // Batch dispatch: pull each timestamp's run of events in one
+        // scheduler call and dispatch it as a slice — one queue search
+        // amortized over the whole run instead of per event. Events
+        // scheduled *during* the batch at the same instant land after it in
+        // `(time, seq)` order, so the next `drain_due` call picks them up
+        // and the dispatch order is event-for-event identical to popping
+        // one event at a time.
+        let mut batch = std::mem::take(&mut self.batch_buf);
+        loop {
+            // The cap is checked after dispatch, so every batch takes at
+            // least one event (a zero cap still dispatches one, then trips).
+            let room = max_events.saturating_sub(self.sched.processed()).max(1);
+            let limit = usize::try_from(room).unwrap_or(usize::MAX);
+            let Some(t) = self.sched.drain_due(sim_horizon, limit, &mut batch) else {
+                break;
+            };
             if self.cfg.audit && t < last_t && self.clock_violation.is_none() {
                 self.clock_violation = Some((last_t, t));
             }
             last_t = t;
-            self.dispatch(event);
-            if let Some(max) = budget.max_events {
-                if self.sched.processed() >= max {
-                    tripped = Some(ExceededBudget::Events);
-                    break;
-                }
+            since_wall_check += batch.len();
+            for event in batch.drain(..) {
+                self.dispatch(event);
+            }
+            if self.sched.processed() >= max_events {
+                tripped = Some(ExceededBudget::Events);
+                break;
             }
             if let Some(max) = budget.max_wall {
-                since_wall_check += 1;
-                // Checking the host clock per event would dominate the
+                // Checking the host clock per batch would dominate the
                 // loop; every few thousand events bounds the overshoot at
                 // microseconds while keeping the hot path branch-cheap.
                 if since_wall_check >= 4096 || max.is_zero() {
@@ -436,6 +428,7 @@ impl Scenario {
                 }
             }
         }
+        self.batch_buf = batch; // keep the allocation
         self.wall_clock += started.elapsed();
 
         // A limit only counts as *exceeded* if the simulation still had
@@ -1210,15 +1203,28 @@ mod tests {
 
     #[test]
     fn audit_does_not_change_the_simulation() {
-        let mut cfg = quick_cfg(Protocol::Reno, 15, 10);
-        cfg.audit = false;
-        let plain = Scenario::run(&cfg);
-        cfg.audit = true;
-        let audited = Scenario::run(&cfg);
-        assert!(plain.audit.is_none());
-        assert_eq!(plain.cov, audited.cov);
-        assert_eq!(plain.delivered_packets, audited.delivered_packets);
-        assert_eq!(plain.events_processed, audited.events_processed);
+        // Seed 3 at 40 clients peaks its pending-event count inside a
+        // same-timestamp batch, where a per-event audit loop would count
+        // one event more than the batch loop does.
+        let mut peaked = quick_cfg(Protocol::Reno, 40, 2);
+        peaked.seed = 3;
+        for mut cfg in [quick_cfg(Protocol::Reno, 15, 10), peaked] {
+            cfg.audit = false;
+            let plain = Scenario::run(&cfg);
+            cfg.audit = true;
+            let audited = Scenario::run(&cfg);
+            assert!(plain.audit.is_none());
+            assert!(audited.audit.as_ref().is_some_and(AuditReport::passed));
+            assert_eq!(plain.cov, audited.cov);
+            assert_eq!(plain.delivered_packets, audited.delivered_packets);
+            assert_eq!(plain.events_processed, audited.events_processed);
+            assert_eq!(plain.timers, audited.timers, "timers line changed under audit");
+            let counts = |r: &ScenarioReport| {
+                let d = &r.dispatch;
+                [d.generate, d.net_tx, d.net_delivery, d.transport, d.impair].map(|c| c.count)
+            };
+            assert_eq!(counts(&plain), counts(&audited), "dispatch line changed under audit");
+        }
     }
 
     #[test]
@@ -1235,6 +1241,25 @@ mod tests {
         assert_eq!(r.budget_exceeded, Some(ExceededBudget::Events));
         assert_eq!(r.events_processed, 500);
         assert!(r.to_string().contains("PARTIAL RUN"));
+    }
+
+    #[test]
+    fn event_cap_is_exact_inside_same_timestamp_batches() {
+        // Several caps in this range land inside a multi-event
+        // same-timestamp batch (419 and 478 among them); the run must
+        // still stop on the exact count, leaving the rest of the batch
+        // queued.
+        let mut cfg = quick_cfg(Protocol::Reno, 40, 2);
+        cfg.seed = 3;
+        for cap in 400..=600 {
+            let mut s = Scenario::new(&cfg);
+            let budget = RunBudget {
+                max_events: Some(cap),
+                ..RunBudget::UNLIMITED
+            };
+            assert_eq!(s.run_with_budget(&budget), Some(ExceededBudget::Events));
+            assert_eq!(s.sched.processed(), cap);
+        }
     }
 
     #[test]

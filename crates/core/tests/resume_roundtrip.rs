@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use tcpburst_core::{Protocol, ScenarioBuilder, SupervisedSweep, SweepSupervisor};
+use tcpburst_core::{Protocol, RunError, ScenarioBuilder, SupervisedSweep, SweepSupervisor};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -125,5 +125,33 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
         .resume_from(&path)
         .expect_err("mismatched sweep key is rejected");
     assert_eq!(err.kind(), "io");
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn resume_refuses_a_format_1_journal() {
+    let cfg = ScenarioBuilder::paper()
+        .instrumentation(|i| i.secs(2).seed(7))
+        .finish();
+    let path = temp_journal();
+    // A format-1 journal: 16-hex FNV sweep key, no engine schema stamp.
+    fs::write(
+        &path,
+        "{\"journal\":\"tcpburst-sweep\",\"version\":1,\"sweep\":\"0123456789abcdef\"}\n\
+         {\"key\":\"fedcba9876543210\",\"protocol\":\"udp\",\"clients\":3,\"seed\":7,\
+         \"cov\":0.5,\"poisson_cov\":0.4,\"generated\":10,\"delivered\":10,\
+         \"loss_percent\":0,\"timeouts\":0,\"fast_retransmits\":0,\"events\":100}\n",
+    )
+    .expect("temp journal is writable");
+    let err = SweepSupervisor::new(&cfg, &[Protocol::Udp], &[3])
+        .jobs(1)
+        .resume_from(&path)
+        .expect_err("format-1 journals are no longer resumable");
+    match &err {
+        RunError::Io { message, .. } => {
+            assert_eq!(message, "unsupported journal version 1", "{err}");
+        }
+        other => panic!("expected an io error, got {other:?}"),
+    }
     let _ = fs::remove_file(&path);
 }

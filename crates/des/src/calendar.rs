@@ -393,10 +393,11 @@ impl<E> Calendar<E> {
         Some(self.pop_from(idx))
     }
 
-    /// Pops *every* entry sharing the earliest pending timestamp, provided
+    /// Pops the entries sharing the earliest pending timestamp, provided
     /// it is at most `horizon`, appending the events to `out` in ascending
-    /// `seq` (FIFO) order. Returns the shared timestamp, or `None` when
-    /// nothing is due.
+    /// `seq` (FIFO) order — the whole run, or its first `limit` entries
+    /// when the run is longer (the rest stay queued). Returns the shared
+    /// timestamp, or `None` when nothing is due.
     ///
     /// Equal timestamps hash to the same day, so the whole run lives in one
     /// bucket; buckets are sorted descending by `(time, seq)`, so the run is
@@ -404,7 +405,12 @@ impl<E> Calendar<E> {
     /// `seq`. One bucket scan and one occupancy update amortize the queue
     /// overhead across the run — the win on the synchronized event bursts
     /// this simulator exists to produce.
-    pub(crate) fn pop_due_run(&mut self, horizon: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
+    pub(crate) fn pop_due_run(
+        &mut self,
+        horizon: SimTime,
+        limit: usize,
+        out: &mut Vec<E>,
+    ) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
@@ -414,14 +420,13 @@ impl<E> Calendar<E> {
         if run_time > horizon {
             return None;
         }
-        while let Some(tail) = bucket.last() {
-            if tail.time != run_time {
-                break;
-            }
+        let mut taken = 0;
+        while taken < limit && bucket.last().is_some_and(|tail| tail.time == run_time) {
             let entry = bucket.pop().expect("tail just checked");
             out.push(entry.event);
-            self.len -= 1;
+            taken += 1;
         }
+        self.len -= taken;
         if self.buckets[idx].is_empty() {
             self.mark_empty(idx);
         }

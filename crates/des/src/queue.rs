@@ -198,9 +198,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes *every* event sharing the earliest pending timestamp — the
+    /// Removes the events sharing the earliest pending timestamp — the
     /// same-timestamp *run* — provided that timestamp is at most `horizon`,
-    /// appending the events to `out` in FIFO (insertion) order.
+    /// appending them to `out` in FIFO (insertion) order. At most `limit`
+    /// events are taken; the rest of a longer run stays queued in order
+    /// (pass `usize::MAX` for the whole run).
     ///
     /// Returns the run's shared timestamp, or `None` (with `out` untouched)
     /// when nothing is due. Dispatching the returned batch in order is
@@ -212,9 +214,14 @@ impl<E> EventQueue<E> {
     ///
     /// The calendar backend pays one bucket scan and one occupancy update
     /// for the whole run instead of one per event.
-    pub fn pop_due_run(&mut self, horizon: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
+    pub fn pop_due_run(
+        &mut self,
+        horizon: SimTime,
+        limit: usize,
+        out: &mut Vec<E>,
+    ) -> Option<SimTime> {
         match &mut self.inner {
-            Inner::Calendar(cal) => cal.pop_due_run(horizon, out),
+            Inner::Calendar(cal) => cal.pop_due_run(horizon, limit, out),
             Inner::Heap(heap) => {
                 let run_time = match heap.peek() {
                     Some(e) if e.time <= horizon => e.time,
@@ -222,12 +229,11 @@ impl<E> EventQueue<E> {
                 };
                 // A max-heap keyed on reversed (time, seq) pops equal times
                 // in ascending seq order, i.e. FIFO.
-                while let Some(e) = heap.peek() {
-                    if e.time != run_time {
-                        break;
-                    }
+                let mut taken = 0;
+                while taken < limit && heap.peek().is_some_and(|e| e.time == run_time) {
                     let e = heap.pop().expect("peek just succeeded");
                     out.push(e.event);
+                    taken += 1;
                 }
                 Some(run_time)
             }
@@ -383,15 +389,18 @@ mod tests {
             q.push(SimTime::from_millis(3), 4);
             let mut out = Vec::new();
             // First run: the lone earlier event.
-            assert_eq!(q.pop_due_run(SimTime::from_millis(9), &mut out), Some(SimTime::from_millis(1)));
+            assert_eq!(
+                q.pop_due_run(SimTime::from_millis(9), usize::MAX, &mut out),
+                Some(SimTime::from_millis(1))
+            );
             assert_eq!(out, [0]);
             // Second run: all three tied events, in insertion order.
             out.clear();
-            assert_eq!(q.pop_due_run(SimTime::from_millis(9), &mut out), Some(t));
+            assert_eq!(q.pop_due_run(SimTime::from_millis(9), usize::MAX, &mut out), Some(t));
             assert_eq!(out, [1, 2, 3]);
             // Horizon before the next event: nothing due, queue untouched.
             out.clear();
-            assert_eq!(q.pop_due_run(t, &mut out), None);
+            assert_eq!(q.pop_due_run(t, usize::MAX, &mut out), None);
             assert!(out.is_empty());
             assert_eq!(q.len(), 1);
         }

@@ -205,8 +205,11 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Pops every event sharing the earliest due timestamp (at most
-    /// `horizon`) into `out`, advancing the clock to that timestamp.
+    /// Pops the events sharing the earliest due timestamp (at most
+    /// `horizon`) into `out`, advancing the clock to that timestamp. At
+    /// most `limit` events are popped; the rest of a longer same-timestamp
+    /// run stays queued in order for the next call, which is how an event
+    /// budget stops on an exact count (pass `usize::MAX` for no cap).
     ///
     /// Returns the batch's shared timestamp. When nothing is due the clock
     /// advances to exactly `horizon` (mirroring
@@ -218,9 +221,14 @@ impl<E> Scheduler<E> {
     /// *during* dispatch sequence after the batch, exactly where single-pop
     /// would place them, and the next `drain_due` call picks them up (the
     /// clock sits at their timestamp, which is still within `horizon`).
-    pub fn drain_due(&mut self, horizon: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
+    pub fn drain_due(
+        &mut self,
+        horizon: SimTime,
+        limit: usize,
+        out: &mut Vec<E>,
+    ) -> Option<SimTime> {
         let before = out.len();
-        match self.queue.pop_due_run(horizon, out) {
+        match self.queue.pop_due_run(horizon, limit, out) {
             Some(time) => {
                 debug_assert!(time >= self.now, "event queue went backwards");
                 self.now = time;
@@ -360,12 +368,12 @@ mod tests {
         s.schedule_at(t, "b");
         s.schedule_at(SimTime::from_secs(10), "late");
         let mut batch = Vec::new();
-        assert_eq!(s.drain_due(SimTime::from_secs(5), &mut batch), Some(t));
+        assert_eq!(s.drain_due(SimTime::from_secs(5), usize::MAX, &mut batch), Some(t));
         assert_eq!(batch, ["a", "b"]);
         assert_eq!(s.now(), t);
         assert_eq!(s.processed(), 2);
         batch.clear();
-        assert_eq!(s.drain_due(SimTime::from_secs(5), &mut batch), None);
+        assert_eq!(s.drain_due(SimTime::from_secs(5), usize::MAX, &mut batch), None);
         assert!(batch.is_empty());
         assert_eq!(s.now(), SimTime::from_secs(5));
         assert_eq!(s.pending(), 1);
@@ -379,12 +387,26 @@ mod tests {
         let t = SimTime::from_millis(1);
         s.schedule_at(t, "first");
         let mut batch = Vec::new();
-        assert_eq!(s.drain_due(SimTime::from_secs(1), &mut batch), Some(t));
+        assert_eq!(s.drain_due(SimTime::from_secs(1), usize::MAX, &mut batch), Some(t));
         assert_eq!(batch, ["first"]);
         s.schedule_now("second");
         batch.clear();
-        assert_eq!(s.drain_due(SimTime::from_secs(1), &mut batch), Some(t));
+        assert_eq!(s.drain_due(SimTime::from_secs(1), usize::MAX, &mut batch), Some(t));
         assert_eq!(batch, ["second"]);
+    }
+
+    #[test]
+    fn drain_due_limit_counts_exactly() {
+        let mut s = Scheduler::new();
+        let t = SimTime::from_millis(1);
+        for i in 0..3 {
+            s.schedule_at(t, i);
+        }
+        let mut batch = Vec::new();
+        assert_eq!(s.drain_due(SimTime::from_secs(1), 2, &mut batch), Some(t));
+        assert_eq!(batch, [0, 1]);
+        assert_eq!(s.processed(), 2);
+        assert_eq!(s.pending(), 1);
     }
 
     #[test]

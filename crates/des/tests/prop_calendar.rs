@@ -127,7 +127,7 @@ proptest! {
             }
             let mut drained: Vec<(u64, usize)> = Vec::new();
             let mut batch: Vec<usize> = Vec::new();
-            while let Some(t) = batched.pop_due_run(horizon, &mut batch) {
+            while let Some(t) = batched.pop_due_run(horizon, usize::MAX, &mut batch) {
                 // All prior runs strictly precede this one in time.
                 if let Some(&(prev, _)) = drained.last() {
                     prop_assert!(prev < t.as_nanos(), "runs out of order");
@@ -136,6 +136,36 @@ proptest! {
             }
             prop_assert_eq!(&popped, &drained, "batch drain diverged from single-pop");
             prop_assert_eq!(single.len(), batched.len());
+        }
+    }
+
+    /// A capped batch drain (what an event budget does) still reproduces
+    /// the single-pop sequence: each batch is a prefix of one timestamp's
+    /// run, at most `limit` long, and the rest of the run stays queued in
+    /// order for the next call.
+    #[test]
+    fn prop_limited_batch_drain_equals_single_pop(
+        times in proptest::collection::vec(0u64..200, 0..300),
+        limit in 1usize..6,
+    ) {
+        for backend in [QueueBackend::Calendar, QueueBackend::BinaryHeap] {
+            let mut single: EventQueue<usize> = EventQueue::with_capacity_and_backend(0, backend);
+            let mut batched: EventQueue<usize> = EventQueue::with_capacity_and_backend(0, backend);
+            for (i, &t) in times.iter().enumerate() {
+                single.push(SimTime::from_nanos(t), i);
+                batched.push(SimTime::from_nanos(t), i);
+            }
+            let mut popped: Vec<(u64, usize)> = Vec::new();
+            while let Some((t, e)) = single.pop() {
+                popped.push((t.as_nanos(), e));
+            }
+            let mut drained: Vec<(u64, usize)> = Vec::new();
+            let mut batch: Vec<usize> = Vec::new();
+            while let Some(t) = batched.pop_due_run(SimTime::MAX, limit, &mut batch) {
+                prop_assert!(!batch.is_empty() && batch.len() <= limit, "batch size {}", batch.len());
+                drained.extend(batch.drain(..).map(|e| (t.as_nanos(), e)));
+            }
+            prop_assert_eq!(&popped, &drained, "capped drain diverged from single-pop");
         }
     }
 

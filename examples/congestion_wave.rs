@@ -113,9 +113,8 @@ fn main() {
             .finish()
     };
 
-    // Same measurement, serial and parallel: per-hop instrumentation is a
-    // serial-engine feature, so parallelism here is across the seed
-    // replicas — the onset tables must still agree exactly.
+    // Same measurement, serial and parallel: parallelism here is across
+    // the seed replicas — the onset tables must still agree exactly.
     let serial: Vec<Vec<Option<f64>>> = seeds
         .iter()
         .map(|&s| onsets(&Scenario::run(&cfg_for(s)), t_impair))
