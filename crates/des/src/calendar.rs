@@ -247,9 +247,16 @@ impl<E> Calendar<E> {
         // grow monotonically, so most pushes append at the tail.
         match bucket.last() {
             Some(tail) if (tail.time, tail.seq) < key => {
-                let pos = bucket.partition_point(|e| (e.time, e.seq) > key);
-                let displaced = (bucket.len() - pos) as u64;
-                bucket.insert(pos, entry);
+                // Out of order: append, then swap toward the head past every
+                // smaller neighbour. Buckets hold a couple of entries, so a
+                // few inline swaps beat a binary search and a memmove call.
+                bucket.push(entry);
+                let mut pos = bucket.len() - 1;
+                while pos > 0 && (bucket[pos - 1].time, bucket[pos - 1].seq) < key {
+                    bucket.swap(pos - 1, pos);
+                    pos -= 1;
+                }
+                let displaced = (bucket.len() - 1 - pos) as u64;
                 self.add_cost(displaced);
             }
             _ => bucket.push(entry),

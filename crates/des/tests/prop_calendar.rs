@@ -5,15 +5,17 @@
 //!
 //! Each random `u64` opcode drives both backends through the same operation;
 //! divergence at any step is a failure. Times are drawn from a range wide
-//! enough to force calendar-width recalibration and from a narrow range that
-//! piles events into few buckets, so both resize directions get exercised.
+//! enough to force calendar-width recalibration, from a narrow range that
+//! piles events into few buckets, so both resize directions get exercised,
+//! and from tight clusters with whole calendar years between them, so
+//! out-of-order inserts sift past several entries, next-year ones included.
 
 use proptest::prelude::*;
 use tcpburst_des::{EventKey, EventQueue, QueueBackend, SimTime};
 
-/// A step decoded from one opcode: push (with a time), pop, or cancel one
-/// of the still-live keys.
-fn run_interleaving(ops: &[u64], time_range: u64) -> Result<(), TestCaseError> {
+/// A step decoded from one opcode: push (with the time `time_of` maps the
+/// opcode's high bits to), pop, or cancel one of the still-live keys.
+fn run_interleaving(ops: &[u64], time_of: impl Fn(u64) -> u64) -> Result<(), TestCaseError> {
     let mut cal: EventQueue<u64> = EventQueue::with_capacity_and_backend(0, QueueBackend::Calendar);
     let mut heap: EventQueue<u64> = EventQueue::with_capacity_and_backend(0, QueueBackend::BinaryHeap);
     // Keys live per-backend, but index i always names the same logical event.
@@ -25,7 +27,7 @@ fn run_interleaving(ops: &[u64], time_range: u64) -> Result<(), TestCaseError> {
         match op % 4 {
             // Push twice as often as pop/cancel so the queues grow.
             0 | 1 => {
-                let t = SimTime::from_nanos((op / 4) % time_range);
+                let t = SimTime::from_nanos(time_of(op / 4));
                 let key = cal.push_keyed(t, payload);
                 heap.push(t, payload);
                 cal_keys.push((key, payload));
@@ -88,21 +90,35 @@ proptest! {
     /// width recalibration and the direct-search fallback path.
     #[test]
     fn prop_matches_heap_wide_times(ops in proptest::collection::vec(0u64..u64::MAX, 0..400)) {
-        run_interleaving(&ops, u64::MAX / 8)?;
+        run_interleaving(&ops, |x| x % (u64::MAX / 8))?;
     }
 
     /// Narrow time range: heavy collisions pile events into few buckets and
     /// drive the FIFO tie-break plus grow/shrink resizes.
     #[test]
     fn prop_matches_heap_narrow_times(ops in proptest::collection::vec(0u64..u64::MAX, 0..400)) {
-        run_interleaving(&ops, 1_000)?;
+        run_interleaving(&ops, |x| x % 1_000)?;
     }
 
     /// Degenerate range: many events at identical timestamps — pure
     /// sequence-number ordering.
     #[test]
     fn prop_matches_heap_identical_times(ops in proptest::collection::vec(0u64..u64::MAX, 0..200)) {
-        run_interleaving(&ops, 4)?;
+        run_interleaving(&ops, |x| x % 4)?;
+    }
+
+    /// Clustered times: four clusters 16 ns wide, a quarter of the events
+    /// pushed 1–3 × 2^32 ns ahead. A calendar year never exceeds 2^32 ns at
+    /// these gaps, so the far events share their cluster's bucket, and each
+    /// out-of-order insert sifts past jittered neighbours and next-year ones.
+    #[test]
+    fn prop_matches_heap_clustered_times(ops in proptest::collection::vec(0u64..u64::MAX, 0..400)) {
+        run_interleaving(&ops, |x| {
+            let cluster = (x % 4) * 4096;
+            let jitter = (x >> 2) % 16;
+            let years_ahead = if (x >> 6) % 4 == 0 { ((x >> 8) % 3 + 1) << 32 } else { 0 };
+            cluster + jitter + years_ahead
+        })?;
     }
 
     /// Batch drain is event-for-event equivalent to single-pop on both

@@ -142,6 +142,10 @@ pub trait Queue: std::fmt::Debug {
 /// ```
 #[derive(Debug)]
 pub struct DropTailQueue {
+    /// Starts empty and doubles up to the link's peak backlog; `capacity`
+    /// alone is the admission limit. Reserving the full limit up front
+    /// (1,000 packets on the paper's access links) would spread a short
+    /// backlog over a ring the cache sees only once per lap.
     buf: VecDeque<Packet>,
     capacity: usize,
     stats: QueueStats,
@@ -157,7 +161,7 @@ impl DropTailQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         DropTailQueue {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             stats: QueueStats::default(),
             occupancy: Occupancy::default(),
@@ -273,6 +277,8 @@ impl RedParams {
 /// every arrival is dropped — the behaviour the ICDCS paper describes.
 #[derive(Debug)]
 pub struct RedQueue {
+    /// Grows with the backlog, like [`DropTailQueue`]'s ring; admission
+    /// follows `params.capacity`.
     buf: VecDeque<Packet>,
     params: RedParams,
     avg: f64,
@@ -294,7 +300,7 @@ impl RedQueue {
     pub fn new(params: RedParams, seed: u64) -> Self {
         params.validate();
         RedQueue {
-            buf: VecDeque::with_capacity(params.capacity),
+            buf: VecDeque::new(),
             params,
             avg: 0.0,
             count: -1,
@@ -596,6 +602,41 @@ mod tests {
         assert!(q.enqueue(pkt(), SimTime::ZERO).is_drop());
         q.dequeue(SimTime::ZERO);
         assert_eq!(q.enqueue(pkt(), SimTime::ZERO), EnqueueOutcome::Accepted);
+    }
+
+    #[test]
+    fn rings_grow_with_backlog_and_admit_up_to_capacity() {
+        let red = RedQueue::new(
+            RedParams {
+                weight: 1e-9, // average stays ~0 so RED never fires
+                capacity: 1000,
+                ..RedParams::paper_defaults()
+            },
+            1,
+        );
+        let ring = |q: &AnyQueue| match q {
+            AnyQueue::DropTail(q) => q.buf.capacity(),
+            AnyQueue::Red(q) => q.buf.capacity(),
+            AnyQueue::AdaptiveRed(_) => unreachable!("not built here"),
+        };
+        for mut q in [
+            AnyQueue::from(DropTailQueue::new(1000)),
+            AnyQueue::from(red),
+        ] {
+            for i in 0..10_000u64 {
+                let now = SimTime::from_millis(i);
+                assert_eq!(q.enqueue(pkt(), now), EnqueueOutcome::Accepted);
+                if q.len() == 3 {
+                    q.dequeue(now);
+                }
+            }
+            assert!(ring(&q) <= 8, "ring of {} for a backlog of 3", ring(&q));
+            let now = SimTime::from_secs(20);
+            while q.len() < 1000 {
+                assert_eq!(q.enqueue(pkt(), now), EnqueueOutcome::Accepted);
+            }
+            assert_eq!(q.enqueue(pkt(), now), EnqueueOutcome::DroppedFull);
+        }
     }
 
     #[test]

@@ -155,9 +155,10 @@ fn alloc_check(clients: usize, secs: u64) -> (u64, u64) {
 
 /// The ceiling the steady-state half must stay under: the hot loop itself
 /// is allocation-free, so the only permitted allocations are amortized
-/// container growth — binned-counter time-series doublings, and calendar
-/// queue resizes (each rebuild reallocates the whole O(nbuckets) bucket
-/// array, so a single resize shows up as ~100 allocations). A few hundred
+/// container growth — binned-counter time-series doublings, link queue
+/// rings doubling toward a new peak backlog, and calendar queue resizes
+/// (each rebuild reallocates the whole O(nbuckets) bucket array, so a
+/// single resize shows up as ~100 allocations). A few hundred
 /// over a half-run of ~600k events is amortized noise; a per-event
 /// allocation would register in the hundreds of thousands.
 const STEADY_ALLOC_CEILING: u64 = 512;

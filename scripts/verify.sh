@@ -136,6 +136,16 @@ echo "==> golden traces: figure tables are backend- and variant-stable"
 diff "$TMP/golden_cal.txt" "$TMP/golden_heap.txt"
 echo "Reno+Vegas tables byte-identical across backends and job counts"
 
+echo "==> byte identity: the saturated 200 s Reno run matches its recorded output"
+# The 4 s golden tables never reach the saturated steady state; the
+# recorded 64-client, 200 s run at the default seed does. The engine: line
+# is wall-clock and is left out; the recorded file is only read.
+./target/release/tcpburst run --clients 64 --protocol reno --secs 200 \
+    > "$TMP/reno64.txt"
+grep -v '^engine:' "$TMP/reno64.txt" > "$TMP/reno64.summary"
+diff perfbench/expected/run-reno64.default.txt "$TMP/reno64.summary"
+echo "64-client Reno run byte-identical to perfbench/expected/run-reno64.default.txt"
+
 echo "==> topologies: parking-lot sweep is backend- and job-count-stable"
 # The generic graph path must be as deterministic as the dumbbell it
 # replaced: a multi-bottleneck chain swept on both event-queue backends at
