@@ -18,11 +18,10 @@ use tcpburst_core::experiments::{
 };
 use tcpburst_des::SimDuration;
 use tcpburst_core::{
-    remote_worker_main, run_point, submit_job, worker_main, ConfigError, ExecTuning,
-    FailurePolicy, Gateway,
+    remote_worker_main, run_point, submit_job, ConfigError, ExecTuning, FailurePolicy, Gateway,
     JobConn, Protocol, RemoteExec, ReplicatedSweep, ResultStore, RunBudget, RunError,
     ScenarioBuilder, SupervisedSweep, SweepSupervisor, TopoKind, WorkerCommand, WorkerOptions,
-    DEFAULT_TOKEN,
+    DEFAULT_TOKEN, TOKEN_ENV,
 };
 
 fn usage() -> String {
@@ -55,7 +54,9 @@ ORCHESTRATION:
     --jobs N               worker threads; 0 = all cores
     --workers N            sweep only: shard fresh grid points across N
                            crash-isolated worker *processes* (0 = all cores;
-                           default 1 = in-process threads); output is
+                           default 1 = in-process threads): local `worker
+                           --connect` children of a private loopback
+                           gateway, killed when the sweep ends; output is
                            byte-identical at every N
 
 RESULT CACHE (sweep and replicate; `run` always simulates):
@@ -100,7 +101,7 @@ SWEEP SERVICE (distributed fan-out over TCP):
     submit                 sends a sweep job to the daemon and streams its
                            output back; exits nonzero if the sweep failed
     --token T              shared job token (both sides default to
-                           '{DEFAULT_TOKEN}')
+                           ${TOKEN_ENV}, else '{DEFAULT_TOKEN}')
     --liveness-ms N        daemon: declare a worker dead after N ms of
                            silence and requeue its in-flight point
                            (default 2000)
@@ -175,9 +176,9 @@ struct Args {
     budget: RunBudget,
     journal: Option<PathBuf>,
     resume: Option<PathBuf>,
-    /// The raw argument tail after the subcommand, verbatim — re-executed
-    /// by worker processes so parent and child parse the identical base
-    /// configuration.
+    /// The raw argument tail after the subcommand, verbatim — shipped to
+    /// local worker children in the job greeting so parent and child
+    /// parse the identical base configuration.
     raw: Vec<String>,
 }
 
@@ -200,7 +201,7 @@ fn split_net_flags(args: &[String]) -> Result<(NetOpts, Vec<String>), String> {
     let mut net = NetOpts {
         listen: None,
         connect: None,
-        token: DEFAULT_TOKEN.to_string(),
+        token: env::var(TOKEN_ENV).unwrap_or_else(|_| DEFAULT_TOKEN.to_string()),
         once: false,
         heartbeat: Duration::from_millis(400),
         liveness: Duration::from_millis(2000),
@@ -524,12 +525,11 @@ fn run_sweep(
     if let Some(remote) = remote {
         supervisor = supervisor.remote(remote);
     } else if args.workers != 1 {
-        // Worker processes re-execute this binary's hidden `worker`
-        // subcommand with our own argument tail, so both sides parse the
-        // identical base configuration.
-        let mut worker_args = vec!["worker".to_string()];
-        worker_args.extend(args.raw.iter().cloned());
-        let command = WorkerCommand::current_exe(worker_args)
+        // Local children run this binary's `worker --connect` against the
+        // sweep's private gateway and parse our own argument tail from
+        // the job greeting, so both sides build the identical base
+        // configuration.
+        let command = WorkerCommand::current_exe(vec!["worker".to_string()], args.raw.clone())
             .map_err(|e| format!("resolving worker binary: {e}"))?;
         supervisor = supervisor.workers(args.workers).worker_command(command);
     }
@@ -722,23 +722,21 @@ fn main() -> ExitCode {
         };
     }
     if cmd == "worker" {
-        if let Some(addr) = net.connect.clone() {
-            // Remote worker: dial a daemon, authenticate, steal points
-            // until the job drains; reconnect with backoff on failures.
-            let opts = WorkerOptions {
-                connect: addr,
-                token: net.token.clone(),
-                heartbeat: net.heartbeat,
-                max_reconnects: net.max_reconnects,
-                ..WorkerOptions::default()
-            };
-            let parse = |argv: &[String]| -> Result<_, String> {
-                let mut args = parse_args(argv.iter().cloned())?;
-                args.raw = argv.to_vec();
-                Ok(args.cfg)
-            };
-            return ExitCode::from(remote_worker_main(&opts, &parse) as u8);
-        }
+        // Dial a gateway, authenticate, steal points until the job
+        // drains; reconnect with backoff on failures.
+        let Some(addr) = net.connect.clone() else {
+            eprintln!("error: worker requires --connect ADDR");
+            return ExitCode::FAILURE;
+        };
+        let opts = WorkerOptions {
+            connect: addr,
+            token: net.token.clone(),
+            heartbeat: net.heartbeat,
+            max_reconnects: net.max_reconnects,
+            ..WorkerOptions::default()
+        };
+        let parse = |argv: &[String]| parse_args(argv.iter().cloned()).map(|args| args.cfg);
+        return ExitCode::from(remote_worker_main(&opts, &parse) as u8);
     }
     let mut args = match parse_args(scenario_rest.iter().cloned()) {
         Ok(a) => a,
@@ -749,11 +747,6 @@ fn main() -> ExitCode {
         }
     };
     args.raw = scenario_rest;
-    if cmd == "worker" {
-        // Hidden subcommand: a sweep parent spawned us with its own flag
-        // tail; serve grid points over stdin/stdout until EOF.
-        return ExitCode::from(worker_main(&args.cfg) as u8);
-    }
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),
         "sweep" => cmd_sweep(&args),

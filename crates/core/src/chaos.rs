@@ -1,13 +1,13 @@
 //! Deterministic fault injection for the sweep control plane.
 //!
-//! The chaos harness proves the robustness claims of [`crate::daemon`] and
-//! [`crate::workers`]: a worker process started with `TCPBURST_CHAOS` set
-//! wraps its transport in a [`ChaosTransport`] that counts protocol frames
-//! and, at scheduled ordinals, kills the process, stalls, corrupts or
-//! truncates an outbound frame, or drops the connection — all
-//! *deterministically*, so a chaos schedule is reproducible and the
-//! byte-identity invariant (finalized journal equals the uninterrupted
-//! serial run) can be pinned in tests and CI.
+//! The chaos harness proves the robustness claims of [`crate::daemon`]: a
+//! worker process (local `--workers` child or remote) started with
+//! `TCPBURST_CHAOS` set wraps its transport in a [`ChaosTransport`] that
+//! counts protocol frames and, at scheduled ordinals, kills the process,
+//! stalls, corrupts or truncates an outbound frame, or drops the
+//! connection — all *deterministically*, so a chaos schedule is
+//! reproducible and the byte-identity invariant (finalized journal equals
+//! the uninterrupted serial run) can be pinned in tests and CI.
 //!
 //! ## Schedule grammar (`TCPBURST_CHAOS`)
 //!

@@ -2,7 +2,7 @@
 //!
 //! This codec is the persistence format of the content-addressed result
 //! store ([`crate::store`]) *and* the payload format of the worker-process
-//! protocol ([`crate::workers`]): one serializer, so a report loaded from
+//! protocol ([`crate::daemon`]): one serializer, so a report loaded from
 //! cache and a report streamed back from a worker process are
 //! reconstructed by the same code path and are **bit-identical** to the
 //! freshly computed original.

@@ -1,7 +1,8 @@
-//! The distributed sweep service: a long-running daemon that accepts
-//! sweep jobs and worker registrations over TCP, and the remote worker
-//! that dials in and steals grid points from the same claim-counter pool
-//! the in-process engines use.
+//! Worker-process fan-out for sweeps: a gateway that accepts sweep jobs
+//! and worker registrations over TCP, the executor that drives registered
+//! workers from a claim-counter pool, and the worker that dials in and
+//! computes grid points. It is the one path by which a grid point reaches
+//! another process, local or remote.
 //!
 //! ## Topology
 //!
@@ -16,7 +17,30 @@
 //! authenticate with the shared job token and are parked until a job is
 //! running; the job's [`RemoteExec`] then drives every registered worker
 //! from a shared claim pool — the same work-stealing discipline as the
-//! thread pool and process pool, so output stays byte-identical.
+//! thread pool, so output stays byte-identical.
+//!
+//! `sweep --workers N` runs the same machinery on one host: the sweep
+//! binds a gateway on `127.0.0.1:0` under a random per-sweep token and
+//! starts N children of its own binary as `worker --connect ADDR`, with
+//! the token in their environment ([`TOKEN_ENV`]) rather than their
+//! argv. The scenario argv reaches them in the `job` greeting. When the
+//! sweep ends, every child still running is killed and reaped and the
+//! listener closes.
+//!
+//! ## Protocol
+//!
+//! Frames are the [`crate::net_transport`] wire format (length prefix +
+//! SHA-256-derived checksum + UTF-8 payload). After the handshake the
+//! driver sends one `point <index> <protocol> <clients> <seed> <sim|->
+//! <events|-> <wall|->` frame per claimed grid point (the trailing triple
+//! is the watchdog budget, `-` = unlimited); the worker replies
+//! `done <index>\n<codec payload>` or `fail <index> <kind>\n<message>`,
+//! interleaving `hb` heartbeats while it computes. The scenario base
+//! configuration never crosses the wire: the worker re-parses the job's
+//! CLI argument tail with the same parser, and only the per-point
+//! coordinates travel as data. Replies are decoded by the same exact
+//! codec the result store uses, so a point's bytes do not depend on who
+//! computed it.
 //!
 //! ## Robustness model
 //!
@@ -38,31 +62,40 @@
 //!   holds; a matching digest short-circuits to a `resume` handshake
 //!   (`backoff_retries`) instead of reshipping the config.
 //! * **Total worker loss** — when no worker has been live for a grace
-//!   period, the driver degrades gracefully and computes claims
-//!   *in-process*; a late worker can still rejoin and steal what's left.
+//!   period, the dispatcher degrades gracefully and computes the remaining
+//!   claims *in-process*, back to back; between points it looks at the
+//!   gateway without waiting, so a late worker can still rejoin and steal
+//!   what's left. A crashed local child is not respawned: its point goes
+//!   to the surviving children, and once none is left this path finishes
+//!   the sweep.
 //!
 //! A point is resolved exactly once: a zombie worker's late reply for an
 //! already-requeued point is discarded, so the journal never sees a
 //! duplicate append and the byte-identity contract holds under any chaos
 //! schedule ([`crate::chaos`]).
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::chaos::{ChaosSchedule, ChaosTransport, HEARTBEAT_PAYLOAD};
-use crate::config::ScenarioConfig;
+use tcpburst_des::SimDuration;
+
+use crate::chaos::{ChaosSchedule, ChaosTransport, CHAOS_ENV, CHAOS_ID_ENV, HEARTBEAT_PAYLOAD};
+use crate::codec;
+use crate::config::{Protocol, ScenarioConfig};
 use crate::net_transport::{FrameTransport, TcpTransport};
 use crate::report::ScenarioReport;
 use crate::store::ENGINE_SCHEMA_VERSION;
 use crate::supervise::{FailurePolicy, PointOutcome, RunBudget, RunError};
-use crate::workers::{
-    parse_reply, point_frame, PointSpec, Reply, RobustnessCounters, SharedCounters,
-};
 
 /// How long a freshly accepted connection gets to identify itself.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
@@ -70,6 +103,208 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
 /// Hard cap on how often one point may be requeued before it is failed —
 /// a backstop against a point that kills every worker it touches forever.
 const MAX_REQUEUES: u32 = 32;
+
+/// Environment variable naming a grid-point index at which a worker
+/// process deliberately aborts — the crash-isolation test hook. Unset in
+/// normal operation.
+pub const CRASH_AT_ENV: &str = "TCPBURST_WORKER_CRASH_AT";
+
+/// Environment variable carrying the job token to `tcpburst worker` when
+/// no `--token` is given. Local sweep children receive their per-sweep
+/// token this way, so it never shows in a process listing.
+pub const TOKEN_ENV: &str = "TCPBURST_TOKEN";
+
+// ---------------------------------------------------------------------------
+// Point frames and replies
+// ---------------------------------------------------------------------------
+
+/// One grid point's coordinates, as shipped to a worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PointSpec {
+    /// Protocol of the point.
+    pub protocol: Protocol,
+    /// Client count of the point.
+    pub clients: usize,
+    /// Seed of the point.
+    pub seed: u64,
+}
+
+fn budget_field(v: Option<u64>) -> String {
+    match v {
+        Some(n) => n.to_string(),
+        None => "-".to_string(),
+    }
+}
+
+fn parse_budget_field(token: &str) -> Option<Option<u64>> {
+    if token == "-" {
+        Some(None)
+    } else {
+        token.parse().ok().map(Some)
+    }
+}
+
+fn point_frame(index: usize, point: &PointSpec, budget: &RunBudget) -> String {
+    format!(
+        "point {index} {} {} {} {} {} {}",
+        point.protocol.cli_name(),
+        point.clients,
+        point.seed,
+        budget_field(budget.max_sim_time.map(|d| d.as_nanos())),
+        budget_field(budget.max_events),
+        budget_field(budget.max_wall.map(|w| w.as_nanos() as u64)),
+    )
+}
+
+/// Parses a `point ...` frame into its coordinates and budget.
+fn parse_point_frame(text: &str) -> Option<(usize, PointSpec, RunBudget)> {
+    let rest = text.strip_prefix("point ")?;
+    let mut tokens = rest.split_whitespace();
+    let index: usize = tokens.next()?.parse().ok()?;
+    let protocol: Protocol = tokens.next()?.parse().ok()?;
+    let clients: usize = tokens.next()?.parse().ok()?;
+    let seed: u64 = tokens.next()?.parse().ok()?;
+    let budget = RunBudget {
+        max_sim_time: parse_budget_field(tokens.next()?)?.map(SimDuration::from_nanos),
+        max_events: parse_budget_field(tokens.next()?)?,
+        max_wall: parse_budget_field(tokens.next()?)?.map(Duration::from_nanos),
+    };
+    if tokens.next().is_some() {
+        return None;
+    }
+    Some((index, PointSpec { protocol, clients, seed }, budget))
+}
+
+/// What a worker sent back for one point.
+enum Reply {
+    /// The point completed; decoded report attached.
+    Done(ScenarioReport),
+    /// The point failed remotely with a typed kind and message.
+    Fail {
+        /// The remote [`RunError::kind`].
+        kind: String,
+        /// The remote error rendered as text.
+        message: String,
+    },
+}
+
+/// Parses a `done`/`fail` reply frame into its echoed index and payload.
+fn parse_reply(text: &str) -> Option<(usize, Reply)> {
+    let (head, body) = text.split_once('\n')?;
+    let mut tokens = head.split_whitespace();
+    let tag = tokens.next()?;
+    let index: usize = tokens.next()?.parse().ok()?;
+    match tag {
+        "done" => {
+            if tokens.next().is_some() {
+                return None;
+            }
+            Some((index, Reply::Done(codec::decode(body)?)))
+        }
+        "fail" => Some((
+            index,
+            Reply::Fail {
+                kind: tokens.next()?.to_string(),
+                message: body.to_string(),
+            },
+        )),
+        _ => None,
+    }
+}
+
+/// Runs one `point` frame against `base` and renders the reply frame;
+/// `None` when the frame does not parse.
+fn handle_point(base: &ScenarioConfig, text: &str, crash_at: Option<usize>) -> Option<String> {
+    let (index, spec, budget) = parse_point_frame(text)?;
+    if crash_at == Some(index) {
+        // The crash-isolation hook: die like a segfault would, with no
+        // unwinding and no reply frame.
+        std::process::abort();
+    }
+    let mut cfg = *base;
+    cfg.num_clients = spec.clients;
+    cfg.apply_protocol(spec.protocol);
+    cfg.seed = spec.seed;
+    Some(match crate::supervise::run_point(&cfg, &budget) {
+        Ok(report) => match codec::encode(&report) {
+            Some(payload) => format!("done {index}\n{payload}"),
+            None => format!(
+                "fail {index} unencodable\nreport carries trace payloads \
+                 the worker protocol cannot ship"
+            ),
+        },
+        Err(error) => format!("fail {index} {}\n{error}", error.kind()),
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Robustness accounting
+// ---------------------------------------------------------------------------
+
+/// Control-plane robustness counters, surfaced in the sweep summary next
+/// to the cache statistics. All zeros on a fault-free run.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RobustnessCounters {
+    /// In-flight grid points put back for another attempt after their
+    /// worker died, disconnected or went silent (one increment per
+    /// requeue event; a point can be requeued more than once).
+    pub requeued_points: u64,
+    /// Worker connections that ended abnormally (died, disconnected,
+    /// went silent or failed the job handshake).
+    pub worker_restarts: u64,
+    /// Liveness deadlines that expired with no frame and no heartbeat
+    /// from a worker.
+    pub heartbeat_misses: u64,
+    /// Remote-worker re-registrations after backoff (resume handshakes
+    /// accepted for a worker that reconnected).
+    pub backoff_retries: u64,
+}
+
+impl RobustnessCounters {
+    /// True when any counter is non-zero (the summary line is printed
+    /// only then, keeping fault-free output unchanged).
+    pub fn any(&self) -> bool {
+        *self != RobustnessCounters::default()
+    }
+
+    /// Adds `other` into `self`.
+    pub fn merge(&mut self, other: &RobustnessCounters) {
+        self.requeued_points += other.requeued_points;
+        self.worker_restarts += other.worker_restarts;
+        self.heartbeat_misses += other.heartbeat_misses;
+        self.backoff_retries += other.backoff_retries;
+    }
+}
+
+impl fmt::Display for RobustnessCounters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "requeued_points={} worker_restarts={} heartbeat_misses={} backoff_retries={}",
+            self.requeued_points, self.worker_restarts, self.heartbeat_misses, self.backoff_retries
+        )
+    }
+}
+
+/// Atomic counterpart shared across driver threads.
+#[derive(Debug, Default)]
+struct SharedCounters {
+    requeued_points: AtomicU64,
+    worker_restarts: AtomicU64,
+    heartbeat_misses: AtomicU64,
+    backoff_retries: AtomicU64,
+}
+
+impl SharedCounters {
+    fn snapshot(&self) -> RobustnessCounters {
+        RobustnessCounters {
+            requeued_points: self.requeued_points.load(Ordering::Relaxed),
+            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
+            heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
+            backoff_retries: self.backoff_retries.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// Tuning for the daemon side of the control plane.
 #[derive(Debug, Clone, Copy)]
@@ -141,11 +376,17 @@ impl JobConn {
 
 /// The daemon's front door: binds the listen address, accepts and
 /// classifies connections (worker registrations vs job submissions), and
-/// parks workers until a [`RemoteExec`] drives them.
+/// parks workers until a [`RemoteExec`] drives them. Dropping it closes
+/// the listener and joins the accept thread.
 pub struct Gateway {
     addr: SocketAddr,
-    workers_rx: Mutex<Receiver<WorkerConn>>,
+    /// Registered workers, plus `None` wake-ups that a running job sends
+    /// its own dispatcher when a point resolves or a driver exits.
+    arrivals_tx: Sender<Option<WorkerConn>>,
+    arrivals_rx: Mutex<Receiver<Option<WorkerConn>>>,
     jobs_rx: Mutex<Receiver<JobConn>>,
+    closed: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for Gateway {
@@ -157,19 +398,27 @@ impl fmt::Debug for Gateway {
 impl Gateway {
     /// Binds `listen` (e.g. `127.0.0.1:0` for an ephemeral test port) and
     /// starts the accept thread. Connections must present `token` in
-    /// their first frame or are rejected. The accept thread is detached
-    /// and lives until the process exits.
+    /// their first frame or are rejected. The accept thread lives until
+    /// the gateway is dropped.
     pub fn bind(listen: &str, token: &str) -> io::Result<Gateway> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let (workers_tx, workers_rx) = channel();
+        let (arrivals_tx, arrivals_rx) = channel();
         let (jobs_tx, jobs_rx) = channel();
-        let token = token.to_string();
-        std::thread::spawn(move || accept_loop(listener, token, workers_tx, jobs_tx));
+        let closed = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let token = token.to_string();
+            let arrivals = arrivals_tx.clone();
+            let closed = Arc::clone(&closed);
+            std::thread::spawn(move || accept_loop(listener, &token, &arrivals, &jobs_tx, &closed))
+        };
         Ok(Gateway {
             addr,
-            workers_rx: Mutex::new(workers_rx),
+            arrivals_tx,
+            arrivals_rx: Mutex::new(arrivals_rx),
             jobs_rx: Mutex::new(jobs_rx),
+            closed,
+            accept: Some(accept),
         })
     }
 
@@ -185,26 +434,65 @@ impl Gateway {
         rx.recv().ok()
     }
 
-    fn next_worker(&self, timeout: Duration) -> Result<WorkerConn, RecvTimeoutError> {
-        let rx = self
-            .workers_rx
+    /// The next registered worker: blocks up to `timeout`
+    /// (`Duration::MAX` = until something arrives) and returns `None` on
+    /// a wake-up or a timeout.
+    fn next_worker(&self, timeout: Duration) -> Option<WorkerConn> {
+        self.arrivals_rx
             .lock()
-            .map_err(|_| RecvTimeoutError::Disconnected)?;
-        rx.recv_timeout(timeout)
+            .ok()?
+            .recv_timeout(timeout)
+            .ok()
+            .flatten()
+    }
+
+    /// A registered worker if one is waiting, without blocking.
+    fn try_next_worker(&self) -> Option<WorkerConn> {
+        self.arrivals_rx.lock().ok()?.try_recv().ok().flatten()
+    }
+
+    /// Wakes a dispatcher blocked in [`next_worker`](Self::next_worker).
+    fn wake(&self) {
+        let _ = self.arrivals_tx.send(None);
+    }
+}
+
+impl Drop for Gateway {
+    fn drop(&mut self) {
+        self.closed.store(true, Ordering::SeqCst);
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        // The accept thread is blocked in `accept`: a loopback connection
+        // wakes it, it sees `closed` and returns, dropping the listener.
+        let ip = match self.addr {
+            SocketAddr::V4(a) if a.ip().is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(a) if a.ip().is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+            a => a.ip(),
+        };
+        let woken =
+            TcpStream::connect_timeout(&SocketAddr::new(ip, self.addr.port()), HANDSHAKE_DEADLINE);
+        if woken.is_ok() || accept.is_finished() {
+            let _ = accept.join();
+        }
     }
 }
 
 fn accept_loop(
     listener: TcpListener,
-    token: String,
-    workers: Sender<WorkerConn>,
-    jobs: Sender<JobConn>,
+    token: &str,
+    workers: &Sender<Option<WorkerConn>>,
+    jobs: &Sender<JobConn>,
+    closed: &AtomicBool,
 ) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
             return;
         };
-        let token = token.clone();
+        if closed.load(Ordering::SeqCst) {
+            return;
+        }
+        let token = token.to_string();
         let workers = workers.clone();
         let jobs = jobs.clone();
         std::thread::spawn(move || classify(stream, &token, &workers, &jobs));
@@ -217,9 +505,10 @@ fn accept_loop(
 fn classify(
     stream: TcpStream,
     token: &str,
-    workers: &Sender<WorkerConn>,
+    workers: &Sender<Option<WorkerConn>>,
     jobs: &Sender<JobConn>,
 ) {
+    let _ = stream.set_nodelay(true);
     let mut t = TcpTransport::new(stream);
     if t.set_read_deadline(Some(HANDSHAKE_DEADLINE)).is_err() {
         return;
@@ -251,10 +540,10 @@ fn classify(
             return;
         }
         let resume = (resume != "-").then(|| resume.to_string());
-        let _ = workers.send(WorkerConn {
+        let _ = workers.send(Some(WorkerConn {
             transport: t,
             resume,
-        });
+        }));
     } else if let Some(body) = text.strip_prefix("sweep ") {
         let (offered, argv_text) = match body.split_once('\n') {
             Some((head, tail)) => (head.trim(), tail),
@@ -313,8 +602,12 @@ impl RemoteExec {
 
     /// Runs every point across the registered workers (and, under total
     /// worker loss, in-process); outcomes come back in point order with
-    /// the control plane's robustness counters. Semantics mirror
-    /// [`crate::workers::WorkerPool::run_points`].
+    /// the control plane's robustness counters.
+    ///
+    /// `fallback` computes one point in-process under the given budget.
+    /// `on_done` runs the moment a point completes (this is where the
+    /// supervisor appends the journal line and writes the result store);
+    /// an `Err` from it demotes the point to [`PointOutcome::Failed`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_points<F, G>(
         &self,
@@ -330,7 +623,9 @@ impl RemoteExec {
         F: Fn(usize, &ScenarioReport) -> Result<(), RunError> + Sync,
         G: Fn(usize, &RunBudget) -> Result<ScenarioReport, RunError> + Sync,
     {
+        let gateway = &*self.gateway;
         let ctx = RunCtx {
+            gateway,
             digest,
             argv: &self.argv,
             specs,
@@ -350,44 +645,42 @@ impl RemoteExec {
             fallback,
         };
 
+        // The dispatcher blocks on the gateway. Drivers wake it when the
+        // last point resolves and when they exit, so it never polls.
         std::thread::scope(|scope| {
             let mut zero_since = Some(Instant::now());
             while ctx.resolved.load(Ordering::SeqCst) < specs.len() {
-                match self.gateway.next_worker(Duration::from_millis(50)) {
-                    Ok(conn) => {
-                        ctx.live_workers.fetch_add(1, Ordering::SeqCst);
-                        zero_since = None;
-                        let ctx = &ctx;
-                        scope.spawn(move || {
-                            drive_worker(conn, ctx);
-                            ctx.live_workers.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // The gateway accept loop died: no worker will
-                        // ever arrive again. Finish in-process.
-                        while let Some(j) = ctx.claim() {
-                            ctx.run_local(j);
-                        }
-                        ctx.skip_unclaimed_on_abort();
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if ctx.live_workers.load(Ordering::SeqCst) == 0 {
-                            let since = *zero_since.get_or_insert_with(Instant::now);
-                            if since.elapsed() >= self.tuning.grace {
-                                // Graceful degradation: no remote worker
-                                // for a full grace period — compute one
-                                // claim in-process, then re-check the
-                                // door so a late worker can still rejoin.
+                ctx.skip_unclaimed_on_abort();
+                let conn = if ctx.live_workers.load(Ordering::SeqCst) > 0 {
+                    zero_since = None;
+                    gateway.next_worker(Duration::MAX)
+                } else {
+                    let since = *zero_since.get_or_insert_with(Instant::now);
+                    match self.tuning.grace.checked_sub(since.elapsed()) {
+                        Some(left) if !left.is_zero() => gateway.next_worker(left),
+                        _ => {
+                            // Graceful degradation: no worker for a full
+                            // grace period. Compute claims in-process back
+                            // to back, looking at the door between points
+                            // so a late worker can still rejoin.
+                            let conn = gateway.try_next_worker();
+                            if conn.is_none() {
                                 if let Some(j) = ctx.claim() {
                                     ctx.run_local(j);
                                 }
                             }
-                        } else {
-                            zero_since = None;
+                            conn
                         }
-                        ctx.skip_unclaimed_on_abort();
                     }
+                };
+                if let Some(conn) = conn {
+                    ctx.live_workers.fetch_add(1, Ordering::SeqCst);
+                    let ctx = &ctx;
+                    scope.spawn(move || {
+                        drive_worker(conn, ctx);
+                        ctx.live_workers.fetch_sub(1, Ordering::SeqCst);
+                        ctx.gateway.wake();
+                    });
                 }
             }
         });
@@ -414,6 +707,7 @@ impl RemoteExec {
 /// Shared state of one remote run: the claim pool, resolve-once slots,
 /// per-point attempt counts and robustness counters.
 struct RunCtx<'a, F, G> {
+    gateway: &'a Gateway,
     digest: &'a str,
     argv: &'a [String],
     specs: &'a [PointSpec],
@@ -504,20 +798,21 @@ where
             },
             other => other,
         };
-        if matches!(outcome, PointOutcome::Failed(_)) && self.policy == FailurePolicy::FailFast {
+        let abort =
+            matches!(outcome, PointOutcome::Failed(_)) && self.policy == FailurePolicy::FailFast;
+        if abort {
             self.abort.store(true, Ordering::SeqCst);
         }
         slots[j] = Some(outcome);
-        self.resolved.fetch_add(1, Ordering::SeqCst);
+        if self.resolved.fetch_add(1, Ordering::SeqCst) + 1 == self.specs.len() || abort {
+            self.gateway.wake();
+        }
     }
 
     /// Handles a worker's terminal reply for a point.
-    fn finish_remote(&self, j: usize, reply: Reply) -> RemoteStep {
+    fn finish_remote(&self, j: usize, reply: Reply) {
         match reply {
-            Reply::Done(report) => {
-                self.resolve(j, PointOutcome::Done(report));
-                RemoteStep::Continue
-            }
+            Reply::Done(report) => self.resolve(j, PointOutcome::Done(report)),
             Reply::Fail { kind, message } => {
                 if kind == "budget-exceeded"
                     && self.attempts[j].load(Ordering::SeqCst) < self.retries
@@ -529,7 +824,6 @@ where
                 } else {
                     self.resolve(j, PointOutcome::Failed(RunError::Remote { kind, message }));
                 }
-                RemoteStep::Continue
             }
         }
     }
@@ -579,10 +873,6 @@ where
             self.resolve(j, PointOutcome::Skipped);
         }
     }
-}
-
-enum RemoteStep {
-    Continue,
 }
 
 /// Drives one registered worker through the claim pool until the pool is
@@ -646,7 +936,7 @@ where
                     let reply = String::from_utf8(frame).ok().and_then(|s| parse_reply(&s));
                     match reply {
                         Some((echoed, reply)) if echoed == j => {
-                            let RemoteStep::Continue = ctx.finish_remote(j, reply);
+                            ctx.finish_remote(j, reply);
                             break;
                         }
                         _ => {
@@ -672,6 +962,95 @@ where
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Local fan-out: `sweep --workers N`
+// ---------------------------------------------------------------------------
+
+/// How to launch one local worker process. The sweep CLI uses its own
+/// binary with `["worker"]`; the bench example self-spawns with a private
+/// flag its `main` recognises. Either way the child is started as
+/// `program args… --connect ADDR`.
+#[derive(Debug, Clone)]
+pub struct WorkerCommand {
+    /// The executable to spawn.
+    pub program: PathBuf,
+    /// Arguments placed before `--connect ADDR`.
+    pub args: Vec<String>,
+    /// The scenario argument tail shipped in the `job` greeting; the
+    /// child parses it into the same base configuration as the parent.
+    pub job_argv: Vec<String>,
+}
+
+impl WorkerCommand {
+    /// A command that re-executes the current binary with `args`, shipping
+    /// `job_argv` to the children.
+    pub fn current_exe(args: Vec<String>, job_argv: Vec<String>) -> io::Result<WorkerCommand> {
+        Ok(WorkerCommand {
+            program: std::env::current_exe()?,
+            args,
+            job_argv,
+        })
+    }
+}
+
+/// N local children of a [`WorkerCommand`] registered at a private
+/// loopback gateway, for one sweep. Dropping it kills and reaps every
+/// child still running, then closes the gateway.
+pub(crate) struct LocalWorkers {
+    children: Vec<Child>,
+    pub(crate) exec: RemoteExec,
+}
+
+impl LocalWorkers {
+    /// Binds a gateway on `127.0.0.1:0` under a fresh random token and
+    /// starts `n` children against it. When `TCPBURST_CHAOS` is set, the
+    /// children get the chaos ids `w1`…`wN` in spawn order.
+    pub(crate) fn spawn(command: &WorkerCommand, n: usize) -> io::Result<LocalWorkers> {
+        let token = sweep_token();
+        let gateway = Arc::new(Gateway::bind("127.0.0.1:0", &token)?);
+        let addr = gateway.local_addr().to_string();
+        let mut local = LocalWorkers {
+            children: Vec::with_capacity(n),
+            exec: RemoteExec::new(gateway, command.job_argv.clone(), ExecTuning::default()),
+        };
+        let chaos = std::env::var_os(CHAOS_ENV).is_some();
+        for seq in 1..=n {
+            let mut cmd = Command::new(&command.program);
+            cmd.args(&command.args)
+                .args(["--connect", &addr])
+                .env(TOKEN_ENV, &token)
+                .stdin(Stdio::null());
+            if chaos {
+                cmd.env(CHAOS_ID_ENV, format!("w{seq}"));
+            }
+            // On failure `local` drops here, taking the children already
+            // started with it.
+            local.children.push(cmd.spawn()?);
+        }
+        Ok(local)
+    }
+}
+
+impl Drop for LocalWorkers {
+    fn drop(&mut self) {
+        // Children the sweep shut down have exited already; one that is
+        // still waiting for a job, backing off or wedged must not outlive
+        // the sweep.
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// A 128-bit random token for one sweep's private gateway, seeded from
+/// the operating system through std's `RandomState`.
+fn sweep_token() -> String {
+    (0..2)
+        .map(|_| format!("{:016x}", RandomState::new().build_hasher().finish()))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -827,7 +1206,7 @@ fn run_session(
     }
 }
 
-fn session_loop<T: FrameTransport>(
+fn session_loop<T: FrameTransport + Send>(
     t: &mut T,
     opts: &WorkerOptions,
     parse: &dyn Fn(&[String]) -> Result<ScenarioConfig, String>,
@@ -886,17 +1265,45 @@ fn session_loop<T: FrameTransport>(
     serve_points(t, &cfg, opts)
 }
 
-/// Serves point frames until `shutdown`/EOF: each point computes in a
-/// helper thread while the session thread heartbeats the daemon, so a
-/// long simulation never looks like a dead worker.
-fn serve_points<T: FrameTransport>(
+/// Serves point frames until `shutdown`/EOF. The session's own thread
+/// computes the points; a helper thread owns the connection meanwhile,
+/// handing each point frame over and heartbeating the daemon until the
+/// reply is back, so a long simulation never looks like a dead worker.
+/// Computing here rather than on a fresh thread keeps the simulation on
+/// the allocator arena the process has already warmed: on a fresh thread
+/// a zero-length point took two to five times as long.
+fn serve_points<T: FrameTransport + Send>(
     t: &mut T,
     cfg: &ScenarioConfig,
     opts: &WorkerOptions,
 ) -> SessionEnd {
-    let crash_at: Option<usize> = std::env::var(crate::workers::CRASH_AT_ENV)
+    let crash_at: Option<usize> = std::env::var(CRASH_AT_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
+    let (frames_tx, frames) = channel::<String>();
+    let (replies, replies_rx) = channel();
+    std::thread::scope(|scope| {
+        let relay = scope.spawn(move || relay_points(t, opts, &frames_tx, &replies_rx));
+        // The relay ends the session by dropping `frames_tx`; a point
+        // already computing finishes first.
+        for frame in frames {
+            if replies.send(handle_point(cfg, &frame, crash_at)).is_err() {
+                break;
+            }
+        }
+        relay.join().unwrap_or(SessionEnd::Lost)
+    })
+}
+
+/// The connection side of [`serve_points`]: passes each point frame to
+/// the computing thread and sends its reply back, heartbeating while it
+/// waits.
+fn relay_points<T: FrameTransport>(
+    t: &mut T,
+    opts: &WorkerOptions,
+    frames: &Sender<String>,
+    replies: &Receiver<Option<String>>,
+) -> SessionEnd {
     // Between points the daemon should answer promptly; a long silence
     // here means it died. Generous deadline — claim scheduling is fast.
     let idle_deadline = opts.heartbeat.max(Duration::from_millis(100)) * 100;
@@ -912,14 +1319,11 @@ fn serve_points<T: FrameTransport>(
         if text == "shutdown" {
             return SessionEnd::Done;
         }
-        let (tx, rx) = channel();
-        let cfg = *cfg;
-        let frame = text.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(crate::workers::handle_point(&cfg, &frame, crash_at));
-        });
+        if frames.send(text).is_err() {
+            return SessionEnd::Lost;
+        }
         loop {
-            match rx.recv_timeout(opts.heartbeat) {
+            match replies.recv_timeout(opts.heartbeat) {
                 Ok(Some(reply)) => {
                     if t.send_text(&reply).is_err() {
                         // The daemon requeued this point elsewhere (or
@@ -992,6 +1396,87 @@ pub fn submit_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn point_frames_parse_back() {
+        let base = crate::ScenarioBuilder::paper().finish();
+        let spec = PointSpec {
+            protocol: Protocol::VegasRed,
+            clients: 25,
+            seed: 0x1CDC_2000,
+        };
+        let budget = RunBudget {
+            max_sim_time: Some(SimDuration::from_secs(3)),
+            max_events: None,
+            max_wall: Some(Duration::from_millis(250)),
+        };
+        let frame = point_frame(7, &spec, &budget);
+        let (index, parsed, parsed_budget) = parse_point_frame(&frame).expect("parses");
+        assert_eq!(index, 7);
+        assert_eq!(parsed, spec);
+        assert_eq!(parsed_budget.max_events, None);
+        assert_eq!(parsed_budget.max_wall, Some(Duration::from_millis(250)));
+
+        // handle_point runs the (tiny) scenario and replies `done 7`.
+        let mut cfg = base;
+        cfg.duration = SimDuration::from_millis(200);
+        let reply = handle_point(&cfg, &frame, None).expect("parses");
+        assert!(reply.starts_with("done 7\n") || reply.starts_with("fail 7 "));
+
+        assert!(handle_point(&cfg, "point", None).is_none());
+        assert!(handle_point(&cfg, "point 1 nosuch 5 0 - - -", None).is_none());
+        assert!(handle_point(&cfg, &format!("{frame} extra"), None).is_none());
+    }
+
+    #[test]
+    fn unlimited_budget_serializes_as_dashes() {
+        let spec = PointSpec {
+            protocol: Protocol::Udp,
+            clients: 5,
+            seed: 1,
+        };
+        let frame = point_frame(0, &spec, &RunBudget::UNLIMITED);
+        assert!(frame.ends_with("- - -"), "{frame}");
+    }
+
+    #[test]
+    fn replies_parse_back() {
+        let (index, reply) = parse_reply("fail 3 budget-exceeded\nran out of budget")
+            .expect("fail reply parses");
+        assert_eq!(index, 3);
+        match reply {
+            Reply::Fail { kind, message } => {
+                assert_eq!(kind, "budget-exceeded");
+                assert_eq!(message, "ran out of budget");
+            }
+            Reply::Done(_) => panic!("wrong reply variant"),
+        }
+        assert!(parse_reply("done 3").is_none(), "no body");
+        assert!(parse_reply("done x\npayload").is_none(), "bad index");
+        assert!(parse_reply("what 3\npayload").is_none(), "bad tag");
+        assert!(parse_reply("done 3\nnot a codec payload").is_none());
+    }
+
+    #[test]
+    fn counters_merge_and_report() {
+        let mut a = RobustnessCounters::default();
+        assert!(!a.any());
+        let b = RobustnessCounters {
+            requeued_points: 1,
+            worker_restarts: 2,
+            heartbeat_misses: 0,
+            backoff_retries: 3,
+        };
+        a.merge(&b);
+        a.merge(&b);
+        assert!(a.any());
+        assert_eq!(a.requeued_points, 2);
+        assert_eq!(a.backoff_retries, 6);
+        assert_eq!(
+            b.to_string(),
+            "requeued_points=1 worker_restarts=2 heartbeat_misses=0 backoff_retries=3"
+        );
+    }
 
     #[test]
     fn backoff_is_bounded_and_grows() {

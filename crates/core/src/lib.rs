@@ -29,8 +29,9 @@
 //! * [`store`] — the content-addressed result store: a finished grid
 //!   point is persisted under a digest of its full configuration and is
 //!   never recomputed,
-//! * [`workers`] — multi-process sweep execution: grid points sharded
-//!   across crash-isolated worker processes, byte-identical to the
+//! * [`daemon`] — multi-process sweep execution: grid points sharded
+//!   across crash-isolated worker processes, local (`--workers N`) or
+//!   remote (`serve`/`worker`/`submit`), byte-identical to the
 //!   in-process run.
 //!
 //! Scenarios are assembled with the staged [`ScenarioBuilder`]
@@ -77,12 +78,11 @@ mod scenario;
 pub mod store;
 pub mod supervise;
 mod trace;
-pub mod workers;
 
 pub use chaos::{ChaosAction, ChaosSchedule, ChaosTransport, CHAOS_ENV, CHAOS_ID_ENV};
 pub use daemon::{
-    remote_worker_main, submit_job, ExecTuning, Gateway, JobConn, RemoteExec, WorkerOptions,
-    DEFAULT_TOKEN,
+    remote_worker_main, submit_job, ExecTuning, Gateway, JobConn, PointSpec, RemoteExec,
+    RobustnessCounters, WorkerCommand, WorkerOptions, DEFAULT_TOKEN, TOKEN_ENV,
 };
 pub use net_transport::{
     encode_frame, FrameError, FrameTransport, PipeTransport, TcpTransport, MAX_FRAME,
@@ -114,6 +114,5 @@ pub use supervise::{
     Supervisor, SweepPoint, SweepSupervisor,
 };
 pub use trace::{EventLog, TraceEvent, TraceKind};
-pub use workers::{worker_main, PointSpec, RobustnessCounters, WorkerCommand, WorkerPool};
 
 pub use tcpburst_net::Impairments;

@@ -1,16 +1,18 @@
 //! Transport-agnostic, checksummed frame protocol for the sweep control
 //! plane.
 //!
-//! The worker-process pool ([`crate::workers`]) and the distributed sweep
-//! daemon ([`crate::daemon`]) speak the same protocol: text payloads in
+//! Every worker process, local (`--workers N`) or remote, talks to its
+//! gateway ([`crate::daemon`]) in one protocol: text payloads in
 //! length-prefixed, checksummed binary frames. This module owns that layer
 //! once — [`FrameTransport`] abstracts *where* the bytes go, with two
 //! implementations:
 //!
-//! * [`PipeTransport`] — the stdin/stdout pipes of a local worker process
-//!   (the original `--workers N` path);
-//! * [`TcpTransport`] — a socket to a remote worker or daemon, with read
-//!   deadlines so a silent peer is detected instead of hanging the sweep.
+//! * [`TcpTransport`] — the socket between a worker and its gateway, with
+//!   read deadlines so a silent peer is detected instead of hanging the
+//!   sweep;
+//! * [`PipeTransport`] — the same frames over any `Read`/`Write` pair,
+//!   used in memory by the unit tests of this layer and of the chaos
+//!   wrapper ([`crate::chaos`]).
 //!
 //! ## Wire format
 //!
@@ -257,8 +259,7 @@ pub fn read_frame(r: &mut impl Read, context: &str) -> Result<Option<Vec<u8>>, F
 /// One end of a frame-protocol connection. Implementations carry the peer
 /// label so every error names its connection, and may support read
 /// deadlines (the TCP transport does; pipes do not). Not `Send`-bound —
-/// the worker's stdio-lock transport is single-threaded; code that moves
-/// a transport across threads adds the bound itself.
+/// code that moves a transport across threads adds the bound itself.
 pub trait FrameTransport {
     /// Writes already-encoded wire bytes (a full frame, or — under chaos
     /// injection — a deliberately mangled one) and flushes.
@@ -304,10 +305,8 @@ pub trait FrameTransport {
     }
 }
 
-/// The frame protocol over a pair of byte streams — the stdin/stdout pipes
-/// between the sweep driver and a local worker process. Read deadlines are
-/// not supported (anonymous pipes have no timeout mechanism); the pipe
-/// pool relies on process supervision instead.
+/// The frame protocol over a pair of byte streams, such as in-memory
+/// buffers in tests. Read deadlines are not supported.
 pub struct PipeTransport<R: Read, W: Write> {
     reader: R,
     writer: W,

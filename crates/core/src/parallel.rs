@@ -69,9 +69,8 @@ where
 
 /// Like [`run_indexed_partial`], but each worker thread owns a mutable
 /// state value built by `init` when the thread starts and passed to every
-/// task it claims. This is how the multi-process sweep pool
-/// ([`crate::workers`]) gives each driver thread a persistent child
-/// process: the state survives across the indices that thread steals.
+/// task it claims: the state survives across the indices that thread
+/// steals.
 ///
 /// On the serial path (`jobs <= 1`) a single state serves every task. A
 /// panicking task poisons nothing: the state stays with its thread and the

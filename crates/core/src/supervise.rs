@@ -35,9 +35,9 @@
 //!
 //! Two further layers compose with supervision (both opt-in):
 //! a content-addressed [result store](crate::store) resolves already-
-//! computed points without simulating, and a [worker-process
-//! pool](crate::workers) runs fresh points in crash-isolated child
-//! processes.
+//! computed points without simulating, and [worker
+//! processes](crate::daemon) run fresh points in crash-isolated children,
+//! local or remote.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -52,12 +52,12 @@ use std::time::Duration;
 use tcpburst_des::{SimDuration, SimTime};
 
 use crate::config::{Protocol, ScenarioConfig};
+use crate::daemon::{LocalWorkers, PointSpec, RemoteExec, RobustnessCounters, WorkerCommand};
 use crate::experiments::{Sweep, SweepCell};
+use crate::parallel::effective_jobs;
 use crate::report::ScenarioReport;
 use crate::scenario::Scenario;
 use crate::store::{self, Digest, ResultStore, ENGINE_SCHEMA_VERSION};
-use crate::daemon::RemoteExec;
-use crate::workers::{PointSpec, RobustnessCounters, WorkerCommand, WorkerPool};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -243,12 +243,12 @@ pub enum RunError {
     },
     /// A worker *process* reported a failure. The rich diagnostic payloads
     /// (partial reports, violation structures) stay in the worker; only the
-    /// original error's kind tag and rendered message cross the pipe. The
-    /// kind `worker-died` means the child process itself crashed (segfault,
-    /// OOM kill, abort) while holding this point.
+    /// original error's kind tag and rendered message cross the wire. The
+    /// kind `requeue-limit` means every worker that took this point died,
+    /// disconnected or went silent, too many times over.
     Remote {
         /// The original [`RunError::kind`] tag inside the worker, or
-        /// `worker-died`.
+        /// `requeue-limit`.
         kind: String,
         /// The rendered error message.
         message: String,
@@ -933,16 +933,20 @@ impl SweepSupervisor {
     /// Shards fresh grid points across worker *processes* instead of
     /// in-process threads: `0` = one per core, `1` (the default) = stay
     /// in-process, `n > 1` = that many children. Has no effect until a
-    /// [`worker_command`](Self::worker_command) is also set. Output is
-    /// byte-identical at every worker count.
+    /// [`worker_command`](Self::worker_command) is also set, nor on a
+    /// sweep with at most one pending point. Output is byte-identical at
+    /// every worker count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Sets the command used to launch worker processes (the harness
-    /// binary's hidden `worker` subcommand, with the same scenario flags
-    /// as the parent so both sides build the identical base config).
+    /// Sets the command used to launch worker processes. Each sweep that
+    /// fans out binds a private loopback [`Gateway`](crate::Gateway),
+    /// starts the children as `worker --connect ADDR` clients of it and
+    /// kills and reaps them when the sweep ends (see [`crate::daemon`]).
+    /// If the gateway cannot bind or a child cannot start, the sweep runs
+    /// in-process instead, with the same bytes.
     pub fn worker_command(mut self, command: WorkerCommand) -> Self {
         self.worker_command = Some(command);
         self
@@ -958,7 +962,7 @@ impl SweepSupervisor {
     }
 
     /// Dispatches fresh grid points across the daemon's registered remote
-    /// workers ([`crate::daemon`]) instead of local processes or threads,
+    /// workers ([`crate::daemon`]) instead of local children or threads,
     /// with in-process graceful degradation when no worker is available.
     /// Takes priority over [`workers`](Self::workers). Output stays
     /// byte-identical to the in-process run.
@@ -1062,7 +1066,8 @@ impl SweepSupervisor {
         }
 
         // Phase 2: dispatch what remains — worker processes when configured
-        // and worthwhile, the in-process thread pool otherwise.
+        // and worthwhile (the daemon's, or local children of a private
+        // loopback gateway), the in-process thread pool otherwise.
         let pending: Vec<usize> = (0..grid.len())
             .filter(|i| slots[*i].is_none() && !fail_map.contains_key(i))
             .collect();
@@ -1084,12 +1089,22 @@ impl SweepSupervisor {
             }
             Ok(())
         };
-        // Trace payloads cannot cross the worker codec, so remote/process
+        // Trace payloads cannot cross the worker codec, so process
         // dispatch is only eligible for plain report sweeps.
         let shippable = !self.base.trace_cwnd && !self.base.trace_events;
-        let use_remote = self.remote.is_some() && !pending.is_empty() && shippable;
-        let use_workers =
-            self.workers != 1 && pending.len() > 1 && self.worker_command.is_some() && shippable;
+        let local = match (&self.remote, &self.worker_command) {
+            (None, Some(command)) if self.workers != 1 && pending.len() > 1 && shippable => {
+                LocalWorkers::spawn(command, effective_jobs(self.workers, pending.len())).ok()
+            }
+            _ => None,
+        };
+        let remote = match &local {
+            Some(local) => Some(&local.exec),
+            None => self
+                .remote
+                .as_deref()
+                .filter(|_| !pending.is_empty() && shippable),
+        };
         let specs: Vec<PointSpec> = pending
             .iter()
             .map(|&i| PointSpec {
@@ -1098,16 +1113,12 @@ impl SweepSupervisor {
                 seed,
             })
             .collect();
-        // Graceful degradation path shared by both distributed engines:
-        // compute one pending point in-process under the given budget.
+        // Graceful degradation when no worker is live: compute one pending
+        // point in-process under the given budget.
         let fallback =
             |j: usize, budget: &RunBudget| run_point(&cfgs[pending[j]], budget);
         let (outcomes, robustness): (Vec<PointOutcome<ScenarioReport>>, RobustnessCounters) =
-            if use_remote {
-                let remote = self
-                    .remote
-                    .as_ref()
-                    .expect("use_remote checked remote.is_some()");
+            if let Some(remote) = remote {
                 remote.run_points(
                     &self.digest().hex(),
                     &specs,
@@ -1117,18 +1128,6 @@ impl SweepSupervisor {
                     fallback,
                     |j, report| complete(pending[j], report),
                 )
-            } else if use_workers {
-                let pool = WorkerPool {
-                    command: self
-                        .worker_command
-                        .clone()
-                        .expect("use_workers checked worker_command.is_some()"),
-                    workers: self.workers,
-                    policy: self.supervisor.policy,
-                    budget: self.supervisor.budget,
-                    retries: self.supervisor.retries,
-                };
-                pool.run_points(&specs, fallback, |j, report| complete(pending[j], report))
             } else {
                 let outcomes = self.supervisor.run_grid(pending.len(), |j, budget| {
                     let i = pending[j];
@@ -1138,6 +1137,8 @@ impl SweepSupervisor {
                 });
                 (outcomes, RobustnessCounters::default())
             };
+        // No local child, listener or accept thread outlives the dispatch.
+        drop(local);
 
         // Phase 3: merge everything back in canonical grid order.
         let completed_points = outcomes

@@ -2,7 +2,7 @@
 //! deterministic fault injection (worker kills, stalls, frame corruption,
 //! truncation, partitions) must leave the rendered tables and the
 //! finalized journal byte-identical to an uninterrupted serial run — for
-//! the pipe-worker pool and for the TCP sweep service alike.
+//! local `--workers` children and for the TCP sweep service alike.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -104,7 +104,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Any single chaos event — kill, stall, corrupt, truncate or drop,
-    /// at any early frame ordinal, on any worker — leaves the pipe-pool
+    /// at any early frame ordinal, on any worker — leaves the `--workers 2`
     /// sweep successful with tables AND finalized journal byte-identical
     /// to the uninterrupted serial run.
     #[test]
@@ -191,9 +191,13 @@ fn spawn_worker(dir: &PathBuf, addr: &str, envs: &[(&str, &str)], extra: &[&str]
 }
 
 fn submit(dir: &PathBuf, addr: &str) -> Output {
+    submit_sweep(dir, addr, SWEEP)
+}
+
+fn submit_sweep(dir: &PathBuf, addr: &str, sweep: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
     cmd.args(["submit", "--connect", addr])
-        .args(SWEEP)
+        .args(sweep)
         .env("TCPBURST_CACHE", dir)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
@@ -290,6 +294,49 @@ fn daemon_degrades_to_in_process_when_all_workers_vanish() {
         String::from_utf8_lossy(&serial.stdout),
         String::from_utf8_lossy(&result.stdout),
         "degraded execution must reproduce the serial tables byte-for-byte"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon with no worker at all and no grace period computes the whole
+/// job in-process back to back: 40 zero-length points take milliseconds,
+/// not one dispatcher timeout each.
+#[test]
+fn workerless_daemon_drains_back_to_back() {
+    let dir = temp_dir();
+    let clients: Vec<String> = (1..=20).map(|n| n.to_string()).collect();
+    let clients = clients.join(",");
+    let sweep = [
+        "sweep",
+        "--protocols",
+        "reno,vegas",
+        "--clients",
+        &clients,
+        "--secs",
+        "0",
+        "--no-cache",
+    ];
+    let serial = tcpburst(&dir, &sweep, &[]);
+    assert!(serial.status.success(), "serial sweep fails: {serial:?}");
+
+    let (daemon, addr) = spawn_daemon(&dir, &["--grace-ms", "0"]);
+    let started = Instant::now();
+    let result = submit_sweep(&dir, &addr, &sweep);
+    let wall = started.elapsed();
+    let _ = wait_bounded(daemon, 120);
+    assert!(
+        result.status.success(),
+        "workerless sweep fails: {result:?}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&result.stdout),
+        "in-process drain must reproduce the serial tables byte-for-byte"
+    );
+    assert!(
+        wall < Duration::from_secs(1),
+        "40 workerless points took {wall:?}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

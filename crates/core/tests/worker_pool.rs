@@ -1,11 +1,12 @@
 //! End-to-end tests of multi-process sweep execution through the real
 //! `tcpburst` binary: worker-process output is byte-identical to the
-//! in-process path, and a crashing worker loses one grid point, not the
-//! sweep.
+//! in-process path, a crashing worker loses one grid point, not the
+//! sweep, and no worker child outlives its sweep.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
@@ -66,10 +67,10 @@ fn a_crashing_worker_loses_zero_points() {
     let serial = tcpburst(&dir, SWEEP, &[]);
     assert!(serial.status.success(), "in-process sweep fails: {serial:?}");
 
-    // Every worker that claims grid point 2 aborts mid-handling. The pool
-    // must requeue the point, respawn workers up to the crash-retry cap,
-    // then finish the poisonous point in-process: the sweep succeeds with
-    // ZERO lost points and byte-identical tables.
+    // Every worker that claims grid point 2 aborts mid-handling. The sweep
+    // must requeue the point to the surviving worker and, once no worker
+    // is left, finish the poisonous point in-process: the sweep succeeds
+    // with ZERO lost points and byte-identical tables.
     let mut forked = SWEEP.to_vec();
     forked.extend_from_slice(&["--workers", "2"]);
     let crash = tcpburst(&dir, &forked, &[("TCPBURST_WORKER_CRASH_AT", "2")]);
@@ -88,10 +89,44 @@ fn a_crashing_worker_loses_zero_points() {
         String::from_utf8_lossy(&crash.stdout),
         "recovery must reproduce the serial tables byte-for-byte"
     );
-    // The robustness summary records the requeue and the respawns.
+    // The robustness summary records the requeues and the lost workers.
     assert!(
         stderr.contains("requeued_points=") && stderr.contains("worker_restarts="),
         "robustness counters are reported on stderr: {stderr}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn partitioned_workers_are_reaped_when_the_sweep_ends() {
+    let dir = temp_dir();
+
+    let serial = tcpburst(&dir, SWEEP, &[]);
+    assert!(serial.status.success(), "in-process sweep fails: {serial:?}");
+
+    // Every child session is partitioned at its registration frame, so no
+    // child ever takes a point and each keeps reconnecting with backoff
+    // for several seconds. The sweep finishes in-process after the grace
+    // period and must kill its children on the way out: `output()` waits
+    // for every holder of the stdout pipe, children included.
+    let mut forked = SWEEP.to_vec();
+    forked.extend_from_slice(&["--workers", "2"]);
+    let started = Instant::now();
+    let partitioned = tcpburst(&dir, &forked, &[("TCPBURST_CHAOS", "drop@1")]);
+    let wall = started.elapsed();
+    assert!(
+        partitioned.status.success(),
+        "partitioned workers must not fail the sweep: {partitioned:?}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&partitioned.stdout),
+        "in-process completion must reproduce the serial tables byte-for-byte"
+    );
+    assert!(
+        wall < Duration::from_secs(5),
+        "the sweep or one of its children outlived the grace period: {wall:?}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

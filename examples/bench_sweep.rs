@@ -29,8 +29,8 @@ use std::time::Instant;
 
 use tcpburst_core::experiments::Sweep;
 use tcpburst_core::{
-    available_jobs, worker_main, Protocol, ResultStore, ScenarioBuilder, ScenarioConfig,
-    SweepSupervisor, WorkerCommand,
+    available_jobs, remote_worker_main, Protocol, ResultStore, ScenarioBuilder, ScenarioConfig,
+    SweepSupervisor, WorkerCommand, WorkerOptions, DEFAULT_TOKEN, TOKEN_ENV,
 };
 use tcpburst_des::SimDuration;
 
@@ -62,11 +62,19 @@ fn counts(max: usize) -> Vec<usize> {
 }
 
 fn main() {
-    // Re-executed by the worker series as `bench_sweep --bench-worker`:
-    // serve grid points to the parent over stdin/stdout, exactly like the
-    // hidden `tcpburst worker` subcommand.
-    if std::env::args().nth(1).as_deref() == Some("--bench-worker") {
-        std::process::exit(worker_main(&base_cfg()));
+    // Re-executed by the worker series as `bench_sweep --bench-worker
+    // --connect ADDR`: serve grid points to the parent's loopback gateway,
+    // exactly like `tcpburst worker --connect`, over the shared base.
+    let argv: Vec<String> = std::env::args().collect();
+    if let [_, flag, connect_flag, addr] = argv.as_slice() {
+        if flag == "--bench-worker" && connect_flag == "--connect" {
+            let opts = WorkerOptions {
+                connect: addr.clone(),
+                token: std::env::var(TOKEN_ENV).unwrap_or_else(|_| DEFAULT_TOKEN.to_string()),
+                ..WorkerOptions::default()
+            };
+            std::process::exit(remote_worker_main(&opts, &|_| Ok(base_cfg())));
+        }
     }
 
     let base = base_cfg();
@@ -115,7 +123,7 @@ fn main() {
     // --- Worker-process scaling ----------------------------------------
     // Spawn cost, IPC framing, and the journal merge are all inside the
     // measured wall clock: this is what `tcpburst sweep --workers N` pays.
-    let command = WorkerCommand::current_exe(vec!["--bench-worker".to_string()])
+    let command = WorkerCommand::current_exe(vec!["--bench-worker".to_string()], Vec::new())
         .expect("bench example knows its own path");
     // Even a single-core host runs the 2-worker row: the point of the
     // series is proving the fork/IPC/merge path and measuring its cost,
